@@ -1094,15 +1094,15 @@ impl Database {
     }
 
     /// Head of the undo chain that ends at `lsn` (the transaction's first
-    /// retained record). Null in, null out.
+    /// retained record). Null in, null out. Reads only record headers.
     fn first_lsn_from(&self, mut lsn: Lsn) -> Lsn {
         let mut first = lsn;
-        while let Some(rec) = self.wal.get(lsn) {
-            first = rec.lsn;
-            if rec.prev.is_null() {
+        while let Some(prev) = self.wal.prev(lsn) {
+            first = lsn;
+            if prev.is_null() {
                 break;
             }
-            lsn = rec.prev;
+            lsn = prev;
         }
         first
     }

@@ -183,48 +183,43 @@ impl ClientPool {
             // A Waiting client becomes eligible once its holder finished.
             // Wait-die keeps wait-edges old->young and therefore acyclic,
             // so some eligible client always exists while work remains —
-            // the force-retry fallback below is purely defensive.
-            let mut eligible: Vec<usize> = (0..states.len())
-                .filter(|&i| match states[i] {
-                    SlotState::Idle | SlotState::Running { .. } | SlotState::Restarting => true,
-                    SlotState::Waiting { on, .. } => !db.txn_is_active(on),
-                    SlotState::Finished => false,
-                })
-                .collect();
-            if eligible.is_empty() {
-                eligible = (0..states.len())
-                    .filter(|&i| matches!(states[i], SlotState::Waiting { .. }))
-                    .collect();
-                if eligible.is_empty() {
-                    break; // everyone Finished
-                }
-            }
+            // the force-retry fallback to every Waiting client is purely
+            // defensive. Picks scan `states` in index order.
+            let n = states.len();
+            let ready = |i: usize| match states[i] {
+                SlotState::Idle | SlotState::Running { .. } | SlotState::Restarting => true,
+                SlotState::Waiting { on, .. } => !db.txn_is_active(on),
+                SlotState::Finished => false,
+            };
+            let waiting = |i: usize| matches!(states[i], SlotState::Waiting { .. });
+            let eligible: &dyn Fn(usize) -> bool =
+                if (0..n).any(&ready) { &ready } else { &waiting };
             let slot = match &self.config.schedule {
                 Schedule::RoundRobin => {
                     // First eligible index at or after the cursor, cyclically.
-                    let pick =
-                        eligible.iter().copied().find(|&i| i >= cursor).unwrap_or(eligible[0]);
-                    cursor = pick + 1;
-                    if cursor >= states.len() {
-                        cursor = 0;
-                    }
+                    let Some(pick) = (cursor..n).chain(0..cursor).find(|&i| eligible(i)) else {
+                        break; // everyone Finished
+                    };
+                    cursor = (pick + 1) % n;
                     pick
                 }
                 Schedule::Weighted(weights) => {
-                    let total: u64 = eligible
-                        .iter()
-                        .map(|&i| u64::from(*weights.get(i).unwrap_or(&1)).max(1))
-                        .sum();
+                    let weight = |i: usize| u64::from(*weights.get(i).unwrap_or(&1)).max(1);
+                    let total: u64 = (0..n).filter(|&i| eligible(i)).map(weight).sum();
+                    if total == 0 {
+                        break; // everyone Finished
+                    }
                     let mut r = xorshift64(&mut rng_state) % total;
-                    let mut pick = eligible[0];
-                    for &i in &eligible {
-                        let w = u64::from(*weights.get(i).unwrap_or(&1)).max(1);
+                    let pick = (0..n).filter(|&i| eligible(i)).find(|&i| {
+                        let w = weight(i);
                         if r < w {
-                            pick = i;
-                            break;
+                            return true;
                         }
                         r -= w;
-                    }
+                        false
+                    });
+                    // `r < total` always lands on an eligible client.
+                    let Some(pick) = pick else { break };
                     pick
                 }
             };
@@ -486,6 +481,23 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn schedules_pick_the_pinned_client_order() {
+        // Step, restart and wait counts and the latency sum of two fixed
+        // runs pin the pick order of both schedules: any change to which
+        // client runs next moves them.
+        let run = |schedule: Schedule, clients: usize, txns: u32| {
+            let mut db = test_db(NxM::tpcc(), 32);
+            db.set_lock_policy(LockPolicy::WaitDie);
+            let clients = seeded(&mut db, clients, txns);
+            let pool = ClientPool::new(PoolConfig { seed: 42, schedule, cpu_ns_per_txn: 700 });
+            let r = pool.run(&mut db, clients).unwrap();
+            (r.steps, r.restarts, r.lock_waits, r.commit_latency_ns.iter().sum::<u64>())
+        };
+        assert_eq!(run(Schedule::Weighted(vec![2, 1, 1, 1]), 4, 5), (67, 20, 7, 20_300));
+        assert_eq!(run(Schedule::RoundRobin, 6, 4), (153, 105, 0, 0));
     }
 
     #[test]

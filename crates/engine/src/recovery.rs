@@ -47,7 +47,7 @@ pub(crate) fn rollback_budgeted(
         if matches!(budget, Some(0)) {
             return Ok((clrs, false));
         }
-        let Some(rec) = db.wal.get(cursor).cloned() else { break };
+        let Some(rec) = db.wal.get(cursor) else { break };
         match rec.payload {
             LogPayload::Clr { undo_next, .. } => {
                 cursor = undo_next;
@@ -342,7 +342,7 @@ impl Database {
         let ckpt = ckpt.filter(|&(begin, end)| {
             self.wal.get(begin).is_some()
                 && matches!(
-                    self.wal.get(end).map(|r| &r.payload),
+                    self.wal.get(end).map(|r| r.payload),
                     Some(LogPayload::EndCheckpoint { .. })
                 )
         });
@@ -352,7 +352,7 @@ impl Database {
         // be reflected on flash). Seeded from the checkpoint's `dirty`
         // entries, augmented by every page action analysis scans.
         let mut dpt: std::collections::BTreeMap<PageId, Lsn> = std::collections::BTreeMap::new();
-        let records: Vec<_> = self.wal.iter_from(start).cloned().collect();
+        let records: Vec<_> = self.wal.iter_from(start).collect();
         for rec in &records {
             match &rec.payload {
                 LogPayload::Commit { tx } | LogPayload::Abort { tx } => {
@@ -413,8 +413,8 @@ impl Database {
                 .wal
                 .iter_from(self.wal.tail())
                 .take_while(|r| r.lsn < redo_start)
-                .filter_map(|r| match &r.payload {
-                    LogPayload::RootChange { index, new_root, .. } => Some((*index, *new_root)),
+                .filter_map(|r| match r.payload {
+                    LogPayload::RootChange { index, new_root, .. } => Some((index, new_root)),
                     _ => None,
                 })
                 .collect();
@@ -422,11 +422,8 @@ impl Database {
                 self.indexes[index as usize].root = new_root;
             }
         }
-        let redo_records: Vec<_> = if redo_start < start {
-            self.wal.iter_from(redo_start).cloned().collect()
-        } else {
-            records
-        };
+        let redo_records: Vec<_> =
+            if redo_start < start { self.wal.iter_from(redo_start).collect() } else { records };
         let mut applied = 0u64;
         for rec in &redo_records {
             let action: Option<&LogPayload> = match &rec.payload {
